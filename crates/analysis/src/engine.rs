@@ -12,22 +12,23 @@
 //! 2. per configuration, substitutes the integer width into the cached
 //!    symbolic stats and per-tensor element expressions — an **exact**
 //!    rational-arithmetic substitution, not a float evaluation;
-//! 3. per sweep point, binds the subbatch symbol and evaluates the closed
-//!    form; the footprint simulation runs on the family graph against the
-//!    substituted size table.
+//! 3. per configuration, evaluates the closed forms at every requested
+//!    subbatch in one batch-VM grid; the footprint simulation runs on the
+//!    family graph against each point's substituted size table.
 //!
 //! Everything symbolic is held as hash-consed [`ExprId`]s: family stats and
 //! element counts are [`InternedGraphStats`] / id vectors, substitution goes
 //! through the `symath` bind memo (one exact substitution per distinct
-//! `(expression, width)` pair process-wide), and evaluation executes the
-//! per-id compiled stack programs.
+//! `(expression, width)` pair process-wide), and evaluation runs the cached
+//! [`batch_program`] of the instance's roots. There is one pricing path:
+//! a single point is a one-subbatch grid.
 //!
 //! Every number produced this way is **bit-identical** to
 //! [`characterize`](crate::characterize): substitution commutes with the
 //! builders' ring operations on widths, so step 2 reproduces the concrete
-//! build's canonical expressions; compiled programs replay the tree
-//! evaluator's exact f64 operation order; and the footprint simulation sees
-//! the same graph structure and the same byte sizes. The golden equivalence
+//! build's canonical expressions; the batch VM replays the tree evaluator's
+//! exact f64 operation order; and the footprint simulation sees the same
+//! graph structure and the same byte sizes. The golden equivalence
 //! suite (`tests/golden_sweep.rs`) asserts this with `==` on every field.
 //!
 //! The per-configuration **instance cache is LRU-bounded** (the family cache
@@ -42,7 +43,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use cgraph::{footprint_with_plan, FootprintPlan, InPlacePolicy, InternedGraphStats, Scheduler};
 use modelzoo::{ModelConfig, ModelGraph, BATCH_SYM};
 use rayon::prelude::*;
-use symath::{batch_program, Bindings, ExprId};
+use symath::{batch_program, round_u64, Bindings, ExprId};
 
 use crate::characterize::CharacterizationPoint;
 use crate::lru::LruCache;
@@ -186,44 +187,17 @@ impl FamilyEngine {
     }
 
     /// Symbolic counterpart of [`crate::characterize`]: the same
-    /// [`CharacterizationPoint`], bit-for-bit, from the cached closed forms.
+    /// [`CharacterizationPoint`], bit-for-bit, from the cached closed forms —
+    /// a one-subbatch [`characterize_instance`].
+    ///
+    /// [`characterize_instance`]: FamilyEngine::characterize_instance
     pub fn characterize(&self, cfg: &ModelConfig, subbatch: u64) -> CharacterizationPoint {
         let _span = obs::span("analysis.characterize_symbolic")
             .with_arg("domain", cfg.domain().key())
             .with_arg("subbatch", subbatch);
         let inst = self.instance(cfg);
-        let bindings = Bindings::new().with(BATCH_SYM, subbatch as f64);
-        let n = inst.stats.eval(&bindings).expect("all symbols bound");
-        // Mirrors `cgraph::tensor_sizes` exactly: per-tensor rounded element
-        // count times the element size, with each distinct element
-        // expression evaluated once.
-        let uniq: Vec<u64> = inst
-            .uniq_elems
-            .iter()
-            .map(|e| e.eval_u64(&bindings).expect("all symbols bound"))
-            .collect();
-        let sizes: Vec<u64> = inst
-            .family
-            .elem_slot
-            .iter()
-            .map(|&(slot, db)| uniq[slot as usize] * db)
-            .collect();
-        let fp = footprint_with_plan(
-            &inst.family.plan,
-            &sizes,
-            Scheduler::Best,
-            InPlacePolicy::Never,
-        );
-        CharacterizationPoint {
-            params: n.params,
-            subbatch,
-            flops_per_step: n.flops,
-            flops_per_sample: n.flops / subbatch as f64,
-            bytes_per_step: n.bytes,
-            op_intensity: n.flops / n.bytes,
-            footprint_bytes: fp.peak_bytes as f64,
-            seq_len: inst.family.model.seq_len,
-        }
+        let mut points = self.characterize_instance(&inst, &[subbatch]);
+        points.pop().expect("one point per subbatch")
     }
 
     /// Price one instance at several subbatch sizes through the batched
@@ -232,10 +206,10 @@ impl FamilyEngine {
     /// sub-expressions computed once per point, not once per root), then one
     /// footprint simulation per point against the cached family plan.
     ///
-    /// Bit-identical to calling [`characterize`](FamilyEngine::characterize)
-    /// per subbatch: the batched VM replays each root's stack program
-    /// per-point in the same f64 operation order, and the element rounding
-    /// below mirrors [`ExprId::eval_u64`].
+    /// Bit-identical to [`crate::characterize`] at every subbatch: the batch
+    /// VM replays the tree walk's f64 operation order, and each element
+    /// count is rounded by [`round_u64`] and times its element size, exactly
+    /// like `cgraph::tensor_sizes`.
     fn characterize_instance(
         &self,
         inst: &Instance,
@@ -257,14 +231,6 @@ impl FamilyEngine {
         let grid = prog.eval_grid(&points).expect("grid is non-empty");
         let val =
             |root: usize, p: usize| -> f64 { *grid[root][p].as_ref().expect("all symbols bound") };
-        // `ExprId::eval_u64`'s rounding, applied to the batched value.
-        let as_u64 = |v: f64| -> u64 {
-            assert!(
-                v.is_finite() && v >= -0.5,
-                "expression evaluated to non-representable u64: {v}"
-            );
-            v.round().max(0.0) as u64
-        };
         subbatches
             .iter()
             .enumerate()
@@ -273,7 +239,7 @@ impl FamilyEngine {
                 let flops = val(1, p);
                 let bytes = val(2, p);
                 let uniq: Vec<u64> = (0..inst.uniq_elems.len())
-                    .map(|j| as_u64(val(3 + j, p)))
+                    .map(|j| round_u64(val(3 + j, p)))
                     .collect();
                 let sizes: Vec<u64> = inst
                     .family

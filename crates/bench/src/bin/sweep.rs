@@ -15,8 +15,8 @@
 //!   classes in `stats()` and use the incremental greedy scheduler
 //!   (today's [`analysis::characterize`]);
 //! * **symbolic** — one width-symbolic family build per domain via a cold
-//!   [`analysis::FamilyEngine`], then exact substitution per point with
-//!   per-point stack-VM evaluation;
+//!   [`analysis::FamilyEngine`], then exact substitution and a one-point
+//!   batch-VM evaluation per point;
 //! * **batched** — re-price the whole grid on the now-warm engine through
 //!   [`FamilyEngine::characterize_many`]: closed forms evaluated by the
 //!   batched register VM, footprints priced against the cached family

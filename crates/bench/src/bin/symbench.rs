@@ -19,11 +19,13 @@
 //! fresh table growth.
 //!
 //! A third section times **evaluation only**: the nine bound stats roots of
-//! each family priced across a 64-point subbatch grid, once through the
-//! per-point stack VM ([`InternedGraphStats::eval`]) and once through the
-//! batched register VM ([`symath::batch_program`] + `eval_grid`). Both
-//! produce bit-identical values; the section reports the wall-time ratio
-//! and the `symath` batch counters.
+//! each family priced across a 64-point subbatch grid, once point by point
+//! ([`InternedGraphStats::eval`], a one-point grid per call) and once as one
+//! grid per rep ([`symath::batch_program`] + `eval_grid`). Both produce
+//! bit-identical values; the section reports the wall-time ratio and the
+//! `symath` batch counters.
+//!
+//! [`InternedGraphStats::eval`]: cgraph::InternedGraphStats::eval
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
@@ -61,7 +63,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const USAGE: &str = "usage: symbench [--summary PATH] [--min-eval-speedup X]
   --summary           write a JSON summary to this path
-  --min-eval-speedup  fail unless batched eval beats the stack VM by X (default 1)";
+  --min-eval-speedup  fail unless grid eval beats per-point eval by X (default 1)";
 
 /// The three sweep sizes bound per family (spanning the Figure 7–10 range).
 const TARGETS: [u64; 3] = [1_000_000, 100_000_000, 1_000_000_000];
@@ -147,15 +149,15 @@ struct EvalOnly {
     roots: usize,
     grid_points: usize,
     reps: usize,
-    stack_ms: f64,
+    per_point_ms: f64,
     batched_ms: f64,
     identical: bool,
 }
 
 /// Price each family's nine bound stats roots across the subbatch grid,
-/// per-point stack VM vs one batched grid evaluation per rep.
+/// point by point vs one batched grid evaluation per rep.
 fn eval_only(domains: &[Domain]) -> EvalOnly {
-    let mut stack_ms = 0.0;
+    let mut per_point_ms = 0.0;
     let mut batched_ms = 0.0;
     let mut roots_total = 0;
     let mut identical = true;
@@ -179,11 +181,11 @@ fn eval_only(domains: &[Domain]) -> EvalOnly {
             bound.io,
         ];
         roots_total += roots.len();
-        // Warm both compile caches so the timings compare evaluation only.
-        let stack_ref: Vec<_> = points.iter().map(|p| bound.eval(p).unwrap()).collect();
+        // Warm the program cache so the timings compare evaluation only.
+        let per_point_ref: Vec<_> = points.iter().map(|p| bound.eval(p).unwrap()).collect();
         let prog = batch_program(&roots);
         let grid = prog.eval_grid(&points).unwrap();
-        for (p, n) in stack_ref.iter().enumerate() {
+        for (p, n) in per_point_ref.iter().enumerate() {
             identical &= grid[0][p] == Ok(n.flops) && grid[7][p] == Ok(n.params);
         }
 
@@ -195,7 +197,7 @@ fn eval_only(domains: &[Domain]) -> EvalOnly {
                 sink += n.flops + n.params;
             }
         }
-        stack_ms += start.elapsed().as_secs_f64() * 1e3;
+        per_point_ms += start.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box(sink);
 
         let start = Instant::now();
@@ -211,7 +213,7 @@ fn eval_only(domains: &[Domain]) -> EvalOnly {
         roots: roots_total,
         grid_points: points.len(),
         reps: EVAL_REPS,
-        stack_ms,
+        per_point_ms,
         batched_ms,
         identical,
     }
@@ -263,15 +265,15 @@ fn main() -> ExitCode {
     }
 
     let evals = eval_only(&domains);
-    let eval_speedup = evals.stack_ms / evals.batched_ms;
+    let eval_speedup = evals.per_point_ms / evals.batched_ms;
     let bstats = batch_stats();
     println!(
-        "\neval-only ({} roots x {} points x {} reps): stack {:.1} ms  batched {:.1} ms  \
+        "\neval-only ({} roots x {} points x {} reps): per-point {:.1} ms  batched {:.1} ms  \
          speedup {:.1}x  identical {}",
         evals.roots,
         evals.grid_points,
         evals.reps,
-        evals.stack_ms,
+        evals.per_point_ms,
         evals.batched_ms,
         eval_speedup,
         evals.identical
@@ -288,10 +290,10 @@ fn main() -> ExitCode {
         bstats.points
     );
 
-    // A warm identical workload must be answered by the caches, the batched
-    // VM must agree with the stack VM bit-for-bit, and — under
-    // `--min-eval-speedup` — the batched grid evaluation must beat the
-    // per-point stack VM by the required factor.
+    // A warm identical workload must be answered by the caches, grid
+    // evaluation must agree with per-point evaluation bit-for-bit, and —
+    // under `--min-eval-speedup` — one grid evaluation must beat pricing
+    // the same points one by one by the required factor.
     let healthy = warm.intern_hit_rate > 0.99
         && warm.table_growth == 0
         && evals.identical
@@ -299,7 +301,7 @@ fn main() -> ExitCode {
     if !healthy {
         eprintln!(
             "symbench: FAIL — warm pass missed the caches (intern hit rate {:.3}, table growth {}), \
-             batched VM diverged (identical {}), or batched eval speedup {:.1}x fell below the \
+             grid eval diverged from per-point (identical {}), or batched eval speedup {:.1}x fell below the \
              required {:.1}x",
             warm.intern_hit_rate, warm.table_growth, evals.identical, eval_speedup, min_eval_speedup
         );
@@ -321,9 +323,9 @@ fn main() -> ExitCode {
                     .set("roots", evals.roots)
                     .set("grid_points", evals.grid_points)
                     .set("reps", evals.reps)
-                    .set("stack_ms", evals.stack_ms)
+                    .set("per_point_ms", evals.per_point_ms)
                     .set("batched_ms", evals.batched_ms)
-                    .set("speedup_batched_vs_stack", eval_speedup)
+                    .set("speedup_batched_vs_per_point", eval_speedup)
                     .set("min_speedup_required", min_eval_speedup)
                     .set("bit_identical", evals.identical),
             )

@@ -5,7 +5,7 @@
 //! the derived operational intensity. Everything is symbolic; bind a
 //! [`symath::Bindings`] to obtain numbers.
 
-use symath::{Bindings, Expr, ExprId, UnboundSymbol};
+use symath::{eval_point, Bindings, Expr, ExprId, UnboundSymbol};
 
 use crate::graph::Graph;
 use crate::op::{op_bytes, op_flops, Op, Phase};
@@ -163,16 +163,26 @@ impl InternedForwardStats {
         }
     }
 
-    /// Evaluate all quantities via the compiled programs. Bit-identical to
-    /// [`ForwardStats::eval`] on the viewed expressions.
+    /// Evaluate all quantities at one point through one batch program over
+    /// every field. Bit-identical to [`ForwardStats::eval`] on the viewed
+    /// expressions, including the first error in field order.
     pub fn eval(&self, bindings: &Bindings) -> Result<NumericForwardStats, UnboundSymbol> {
+        let fields = [
+            self.flops,
+            self.bytes,
+            self.bytes_read,
+            self.bytes_written,
+            self.params,
+            self.io,
+        ];
+        let v = eval_point(&fields, bindings)?;
         Ok(NumericForwardStats {
-            flops: self.flops.eval(bindings)?,
-            bytes: self.bytes.eval(bindings)?,
-            bytes_read: self.bytes_read.eval(bindings)?,
-            bytes_written: self.bytes_written.eval(bindings)?,
-            params: self.params.eval(bindings)?,
-            io: self.io.eval(bindings)?,
+            flops: v[0],
+            bytes: v[1],
+            bytes_read: v[2],
+            bytes_written: v[3],
+            params: v[4],
+            io: v[5],
         })
     }
 }
@@ -202,7 +212,7 @@ impl NumericForwardStats {
 }
 
 /// [`GraphStats`] with every quantity as a hash-consed [`ExprId`]: cheap to
-/// clone and compare, with memoized substitution ([`bind_all`]) and compiled
+/// clone and compare, with memoized substitution ([`bind_all`]) and batch-VM
 /// evaluation ([`eval`]) that is bit-identical to the tree walk. This is the
 /// representation the sweep engine caches per model family.
 ///
@@ -266,19 +276,32 @@ impl InternedGraphStats {
         self.map(|e| e.bind_all(bindings))
     }
 
-    /// Evaluate all quantities via the compiled programs. Bit-identical to
-    /// [`GraphStats::eval`] on the viewed expressions.
+    /// Evaluate all quantities at one point through one batch program over
+    /// every field. Bit-identical to [`GraphStats::eval`] on the viewed
+    /// expressions, including the first error in field order.
     pub fn eval(&self, bindings: &Bindings) -> Result<NumericStats, UnboundSymbol> {
+        let fields = [
+            self.flops,
+            self.flops_forward,
+            self.flops_backward,
+            self.flops_update,
+            self.bytes,
+            self.bytes_read,
+            self.bytes_written,
+            self.params,
+            self.io,
+        ];
+        let v = eval_point(&fields, bindings)?;
         Ok(NumericStats {
-            flops: self.flops.eval(bindings)?,
-            flops_forward: self.flops_forward.eval(bindings)?,
-            flops_backward: self.flops_backward.eval(bindings)?,
-            flops_update: self.flops_update.eval(bindings)?,
-            bytes: self.bytes.eval(bindings)?,
-            bytes_read: self.bytes_read.eval(bindings)?,
-            bytes_written: self.bytes_written.eval(bindings)?,
-            params: self.params.eval(bindings)?,
-            io: self.io.eval(bindings)?,
+            flops: v[0],
+            flops_forward: v[1],
+            flops_backward: v[2],
+            flops_update: v[3],
+            bytes: v[4],
+            bytes_read: v[5],
+            bytes_written: v[6],
+            params: v[7],
+            io: v[8],
         })
     }
 

@@ -107,7 +107,7 @@ impl ModelGraph {
 
     /// Trainable parameter count (independent of batch size). Goes through
     /// the hash-consed [`Graph::params_id`](cgraph::Graph) so repeated
-    /// queries of the same model family hit the interner's compiled program.
+    /// queries of the same model family hit the cached batch program.
     pub fn param_count(&self) -> u64 {
         self.graph
             .params_id()

@@ -401,7 +401,7 @@ fn register_external_series(state: &Arc<AppState>) {
     );
     r.counter_fn(
         "frontier_symath_programs_compiled_total",
-        "Expression programs compiled for evaluation.",
+        "Evaluation programs cached (the batch-program cache size).",
         || symath::intern_stats().programs_compiled,
     );
     r.counter_fn(
@@ -421,7 +421,7 @@ fn register_external_series(state: &Arc<AppState>) {
     );
     r.counter_fn(
         "frontier_symath_batch_evals_total",
-        "Grid evaluations answered by the batched register VM.",
+        "Evaluations answered by the batched register VM (grids and single points).",
         || symath::batch_stats().evals,
     );
     r.counter_fn(

@@ -1,27 +1,30 @@
 //! Depth-batched register-VM evaluation: one compiled program, many grid
-//! points, structure-of-arrays.
+//! points, structure-of-arrays. This is the crate's one compiled evaluator;
+//! a single point is a one-point grid ([`ExprId::eval`],
+//! [`eval_point`](crate::eval_point)).
 //!
-//! The per-point stack machine ([`Program`](crate::compile::Program))
-//! replays the tree evaluator's
-//! exact `f64` operation order for *one* binding set. Sweep grids evaluate
-//! the same handful of expressions at hundreds of points, so the replay cost
-//! is paid per point: instruction dispatch, slot resolution, and the stack
-//! shuffle all scale with `points × instructions`. A [`BatchProgram`]
-//! instead compiles a whole *set* of root expressions once into a single
-//! register program and runs each opcode as a tight loop over the point
-//! axis: every register is a flat `Vec<f64>` column of length `points`, so
-//! dispatch is paid once per instruction and the inner loops are plain
-//! slice arithmetic the compiler can vectorize.
+//! The tree walk ([`Expr::eval`]) re-matches atoms and re-looks-up symbols
+//! on every call. A [`BatchProgram`] compiles a whole *set* of root
+//! expressions once into a single register program and runs each opcode as
+//! a tight loop over the point axis: every register is a flat column of
+//! length `points`, so dispatch is paid once per instruction and the inner
+//! loops are plain slice arithmetic the compiler can vectorize.
 //!
 //! # Register discipline
 //!
-//! The builder walks each canonical expression exactly like the stack
-//! compiler ([`crate::compile`]), but maps every stack position to a
-//! register: a push at depth `d` becomes a write to register `d`, and a
-//! binary stack op at depth `d` becomes `reg[d-1] ∘= reg[d]`. The operation
-//! sequence *per point* is therefore identical to the stack machine's —
-//! which is identical to the tree walk's — so results are **bit-identical**
-//! (IEEE-754 arithmetic is deterministic).
+//! The builder walks each canonical expression in the tree walk's order and
+//! gives each intermediate value the register of its nesting depth:
+//!
+//! * an expression starts `total = 0.0` → `Splat 0` into register `d`, and
+//!   each term ends with `total += val` → `Add d ← d+1`;
+//! * a term starts `val = coeff` → `Splat coeff` into `d+1`, and each factor
+//!   performs `val *= base.powf(e)` → the base into `d+2`, then `PowMul`;
+//! * `max` folds from `NEG_INFINITY`, `min` from `INFINITY`, one `Max` /
+//!   `Min` per argument; `ceil` rounds its argument's register in place.
+//!
+//! The operation sequence *per point* is therefore the tree walk's, so
+//! results are **bit-identical** to it (IEEE-754 arithmetic is
+//! deterministic), NaN payloads included.
 //!
 //! # Cross-expression CSE
 //!
@@ -44,12 +47,12 @@
 //! computed anyway (every opcode is pointwise across the point axis, so a
 //! masked point can never contaminate a bound one), and each affected
 //! result is overwritten with the error naming the first unbound symbol in
-//! that root's own slot order (taken from its per-point
-//! [`Program`](crate::compile::Program), whose
-//! slot order equals the tree walk's encounter order).
+//! that root's own encounter order (listed at compile time by
+//! `encounter_order`, a walk in the tree evaluator's order).
 //!
 //! [`Copy`]: BatchInstr::Copy
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,8 +63,8 @@ use crate::intern::ExprId;
 use crate::symbol::Symbol;
 
 /// One register-VM operation. `dst`/`src` index register columns; every
-/// arithmetic variant applies the stack machine's operation pointwise
-/// across the point axis.
+/// arithmetic variant applies one tree-walk operation pointwise across the
+/// point axis.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BatchInstr {
     /// `reg[dst][·] = val` (a pushed constant, broadcast to every point).
@@ -78,8 +81,7 @@ pub enum BatchInstr {
         /// Symbol slot (indexes [`BatchProgram::symbols`]).
         slot: u32,
     },
-    /// `reg[dst][i] *= reg[src][i].powf(exp)` — the stack machine's
-    /// `PowMul`.
+    /// `reg[dst][i] *= reg[src][i].powf(exp)` — one factor of a term.
     PowMul {
         /// Accumulator register (the term value).
         dst: u32,
@@ -161,13 +163,18 @@ pub struct BatchProgram {
     cse_reuses: u64,
 }
 
-/// Aggregate counters for every [`BatchProgram`] compiled or evaluated in
-/// this process (reported by `symbench` and `/v1/metrics`).
+/// Aggregate counters for every [`BatchProgram`] compiled or evaluated,
+/// process-wide ([`batch_stats`], reported by `symbench` and `/v1/metrics`)
+/// or on the calling thread ([`thread_batch_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Batch programs compiled (cache misses of [`batch_program`]).
+    ///
+    /// [`batch_program`]: crate::batch_program
     pub programs_compiled: u64,
     /// [`batch_program`] requests answered from the cache.
+    ///
+    /// [`batch_program`]: crate::batch_program
     pub program_cache_hits: u64,
     /// Instructions across all compiled programs.
     pub instructions: u64,
@@ -181,30 +188,71 @@ pub struct BatchStats {
     pub points: u64,
 }
 
-pub(crate) static BATCH_PROGRAMS_COMPILED: AtomicU64 = AtomicU64::new(0);
-pub(crate) static BATCH_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static BATCH_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
-static BATCH_REGISTERS: AtomicU64 = AtomicU64::new(0);
-static BATCH_CSE_REUSES: AtomicU64 = AtomicU64::new(0);
-static BATCH_EVALS: AtomicU64 = AtomicU64::new(0);
-static BATCH_POINTS: AtomicU64 = AtomicU64::new(0);
+/// One [`BatchStats`] field, in field order; the discriminant indexes the
+/// counter arrays.
+#[derive(Clone, Copy)]
+pub(crate) enum Counter {
+    ProgramsCompiled,
+    CacheHits,
+    Instructions,
+    Registers,
+    CseReuses,
+    Evals,
+    Points,
+}
 
-/// Snapshot of the process-wide batch-VM counters.
-pub fn batch_stats() -> BatchStats {
-    BatchStats {
-        programs_compiled: BATCH_PROGRAMS_COMPILED.load(Ordering::Relaxed),
-        program_cache_hits: BATCH_CACHE_HITS.load(Ordering::Relaxed),
-        instructions: BATCH_INSTRUCTIONS.load(Ordering::Relaxed),
-        registers: BATCH_REGISTERS.load(Ordering::Relaxed),
-        cse_reuses: BATCH_CSE_REUSES.load(Ordering::Relaxed),
-        evals: BATCH_EVALS.load(Ordering::Relaxed),
-        points: BATCH_POINTS.load(Ordering::Relaxed),
+const COUNTERS: usize = 7;
+
+static GLOBAL_COUNTS: [AtomicU64; COUNTERS] = [const { AtomicU64::new(0) }; COUNTERS];
+
+thread_local! {
+    static THREAD_COUNTS: Cell<[u64; COUNTERS]> = const { Cell::new([0; COUNTERS]) };
+}
+
+/// Add `n` to one counter, both process-wide and on the calling thread.
+pub(crate) fn count(c: Counter, n: u64) {
+    GLOBAL_COUNTS[c as usize].fetch_add(n, Ordering::Relaxed);
+    THREAD_COUNTS.with(|t| {
+        let mut v = t.get();
+        v[c as usize] += n;
+        t.set(v);
+    });
+}
+
+impl BatchStats {
+    /// Counts in [`Counter`] order, which is the field order.
+    fn from_counts(v: [u64; COUNTERS]) -> BatchStats {
+        let [programs_compiled, program_cache_hits, instructions, registers, cse_reuses, evals, points] =
+            v;
+        BatchStats {
+            programs_compiled,
+            program_cache_hits,
+            instructions,
+            registers,
+            cse_reuses,
+            evals,
+            points,
+        }
     }
 }
 
+/// Snapshot of the process-wide batch-VM counters.
+pub fn batch_stats() -> BatchStats {
+    BatchStats::from_counts(std::array::from_fn(|i| {
+        GLOBAL_COUNTS[i].load(Ordering::Relaxed)
+    }))
+}
+
+/// Snapshot of the batch-VM work done on the calling thread. Other threads
+/// never move it, so a caller can assert exact deltas on its own work while
+/// the process-wide sums ([`batch_stats`]) move concurrently.
+pub fn thread_batch_stats() -> BatchStats {
+    BatchStats::from_counts(THREAD_COUNTS.with(Cell::get))
+}
+
 /// A register reference during compilation, before the two banks are laid
-/// out: stack registers mirror the stack machine's depth, cache registers
-/// hold CSE'd values and root results.
+/// out: stack registers hold the value at each nesting depth, cache
+/// registers hold CSE'd values and root results.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Reg {
     Stack(u32),
@@ -296,7 +344,7 @@ impl BatchCompiler {
         r
     }
 
-    /// Mirror of `Compiler::expr`: same per-point operation order.
+    /// Mirror of `Expr::eval`: same per-point operation order.
     fn expr(&mut self, e: &Expr) {
         self.push(|d| RawInstr::Splat(d, 0.0));
         for t in e.terms() {
@@ -438,26 +486,15 @@ impl BatchProgram {
             })
             .collect();
 
-        // Per-root symbol order for error reporting: the per-point program's
-        // slot order is the tree walk's encounter order. Every symbol of
-        // every root is loaded somewhere in the batch program (at its unit's
-        // first computation), so the global table already covers it.
+        // Per-root symbol order for error reporting. Every symbol of every
+        // root is loaded somewhere in the batch program (at its unit's first
+        // computation), so the global table already covers it.
         let root_syms: Vec<Vec<u32>> = roots
             .iter()
             .map(|r| {
-                r.program()
-                    .symbols()
-                    .iter()
-                    .map(|&s| match c.slot_of.get(&s) {
-                        Some(&slot) => slot,
-                        None => {
-                            let slot = c.syms.len() as u32;
-                            c.syms.push(s);
-                            c.slot_of.insert(s, slot);
-                            slot
-                        }
-                    })
-                    .collect()
+                let mut syms = Vec::new();
+                encounter_order(&r.expr(), &mut syms);
+                syms.iter().map(|s| c.slot_of[s]).collect()
             })
             .collect();
 
@@ -469,19 +506,18 @@ impl BatchProgram {
             regs: stack_max + c.cache_next,
             cse_reuses: c.cse_reuses,
         };
-        BATCH_INSTRUCTIONS.fetch_add(prog.instrs.len() as u64, Ordering::Relaxed);
-        BATCH_REGISTERS.fetch_add(prog.regs as u64, Ordering::Relaxed);
-        BATCH_CSE_REUSES.fetch_add(prog.cse_reuses, Ordering::Relaxed);
+        count(Counter::Instructions, prog.instrs.len() as u64);
+        count(Counter::Registers, prog.regs as u64);
+        count(Counter::CseReuses, prog.cse_reuses);
         prog
     }
 
     /// Evaluate every root at every point in one pass.
     ///
     /// Returns, per root, one `Result` per point: bit-identical to running
-    /// [`Expr::eval`] (or the per-point [`Program`](crate::compile::Program))
-    /// on that root with that
-    /// point's bindings — including which unbound symbol an error names. A
-    /// zero-width point axis is rejected with [`BatchError::EmptyGrid`].
+    /// [`Expr::eval`] on that root with that point's bindings — including
+    /// which unbound symbol an error names. A zero-width point axis is
+    /// rejected with [`BatchError::EmptyGrid`].
     #[allow(clippy::type_complexity)]
     pub fn eval_grid(
         &self,
@@ -490,30 +526,32 @@ impl BatchProgram {
         if points.is_empty() {
             return Err(BatchError::EmptyGrid);
         }
-        BATCH_EVALS.fetch_add(1, Ordering::Relaxed);
-        BATCH_POINTS.fetch_add(points.len() as u64, Ordering::Relaxed);
+        count(Counter::Evals, 1);
+        count(Counter::Points, points.len() as u64);
         let n = points.len();
 
-        // Symbol columns, with unbound entries masked and placeholder-filled.
-        // Every opcode is pointwise across the point axis, so a placeholder
-        // can only ever flow into results of its own (masked) point.
-        let n_syms = self.syms.len();
-        let mut cols = vec![0.0f64; n_syms * n];
-        let mut unbound = vec![false; n_syms * n];
-        let mut any_unbound = false;
+        // One allocation holds the registers and, after them, the symbol
+        // columns. Unbound entries keep a placeholder and are masked; every
+        // opcode is pointwise across the point axis, so a placeholder can
+        // only ever flow into results of its own (masked) point. The mask is
+        // allocated only when some point leaves a symbol unbound.
+        let sym_base = self.regs as usize * n;
+        let mut regs = vec![0.0f64; sym_base + self.syms.len() * n];
+        let mut unbound: Vec<bool> = Vec::new();
         for (si, &s) in self.syms.iter().enumerate() {
             for (p, b) in points.iter().enumerate() {
                 match b.get(s) {
-                    Some(v) => cols[si * n + p] = v,
+                    Some(v) => regs[sym_base + si * n + p] = v,
                     None => {
+                        if unbound.is_empty() {
+                            unbound = vec![false; self.syms.len() * n];
+                        }
                         unbound[si * n + p] = true;
-                        any_unbound = true;
                     }
                 }
             }
         }
 
-        let mut regs = vec![0.0f64; self.regs as usize * n];
         for instr in &self.instrs {
             match *instr {
                 BatchInstr::Splat { dst, val } => {
@@ -523,9 +561,8 @@ impl BatchProgram {
                     }
                 }
                 BatchInstr::Load { dst, slot } => {
-                    let d = dst as usize * n;
-                    let s = slot as usize * n;
-                    regs[d..d + n].copy_from_slice(&cols[s..s + n]);
+                    let s = sym_base + slot as usize * n;
+                    regs.copy_within(s..s + n, dst as usize * n);
                 }
                 BatchInstr::PowMul { dst, src, exp } => {
                     let (d, s) = split_regs(&mut regs, n, dst, src);
@@ -572,10 +609,9 @@ impl BatchProgram {
                 let col = &regs[reg as usize * n..reg as usize * n + n];
                 (0..n)
                     .map(|p| {
-                        if any_unbound {
+                        if !unbound.is_empty() {
                             // First unbound symbol in this root's tree-walk
-                            // encounter order, exactly like `Program::eval`'s
-                            // up-front slot resolution.
+                            // encounter order.
                             for &slot in syms {
                                 if unbound[slot as usize * n + p] {
                                     return Err(UnboundSymbol(self.syms[slot as usize]));
@@ -600,7 +636,8 @@ impl BatchProgram {
         self.instrs.is_empty()
     }
 
-    /// Register columns the VM allocates per evaluation.
+    /// Register columns the VM allocates per evaluation (besides one column
+    /// per symbol).
     pub fn registers(&self) -> u32 {
         self.regs
     }
@@ -618,6 +655,29 @@ impl BatchProgram {
     /// Number of root expressions (equals the compile input length).
     pub fn roots(&self) -> usize {
         self.result_reg.len()
+    }
+}
+
+/// Append `e`'s symbols that `out` lacks, in the tree walk's encounter order
+/// (terms, factors and `max`/`min` arguments left to right): the order in
+/// which [`Expr::eval`] would report them unbound.
+fn encounter_order(e: &Expr, out: &mut Vec<Symbol>) {
+    for t in e.terms() {
+        for (a, _) in &t.factors {
+            match a {
+                Atom::Sym(s) => {
+                    if !out.contains(s) {
+                        out.push(*s);
+                    }
+                }
+                Atom::Expr(x) | Atom::Func(Func::Ceil(x)) => encounter_order(x, out),
+                Atom::Func(Func::Max(args)) | Atom::Func(Func::Min(args)) => {
+                    for x in args {
+                        encounter_order(x, out);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -736,30 +796,129 @@ mod tests {
     }
 
     #[test]
-    fn fractional_powers_match_stack_vm_bitwise() {
-        let p = Expr::sym("bt_p");
-        let e = p.pow(Rat::HALF) * Expr::int(5) + (p.clone() + Expr::int(1)).recip();
-        let id = e.interned();
-        let prog = BatchProgram::compile(&[id]);
-        let b = Bindings::new().with("bt_p", 77.0);
-        let grid = prog.eval_grid(std::slice::from_ref(&b)).unwrap();
+    fn max_min_ceil_match_tree_eval_bitwise() {
+        let x = Expr::sym("bt_mx");
+        let y = Expr::sym("bt_my");
+        let e = Expr::ceil(Expr::max(vec![x.clone() * Expr::rat(7, 3), y.clone()]))
+            * Expr::min(vec![x.clone(), y.clone() + Expr::int(1)]);
+        let points = vec![
+            Bindings::new().with("bt_mx", 2.75).with("bt_my", 6.5),
+            Bindings::new().with("bt_mx", 9.0).with("bt_my", -1.25),
+        ];
+        assert_grid_matches_tree(&[e], &points);
+    }
+
+    #[test]
+    fn polynomial_matches_tree_eval_bitwise() {
+        // One point through `ExprId::eval`, the per-point compiled path.
+        let h = Expr::sym("bt_ph");
+        let e = h.pow(2) * Expr::int(3) + &h + Expr::rat(1, 3);
+        let b = Bindings::new().with("bt_ph", 17.0);
         assert_eq!(
-            grid[0][0].as_ref().unwrap().to_bits(),
-            id.program().eval(&b).unwrap().to_bits()
+            e.interned().eval(&b).unwrap().to_bits(),
+            e.eval(&b).unwrap().to_bits()
         );
     }
 
     #[test]
+    fn fractional_powers_match_tree_eval_bitwise() {
+        // One point through `ExprId::eval`, the per-point compiled path.
+        let p = Expr::sym("bt_sp");
+        let e = p.sqrt() * Expr::int(5) + (p.clone() + Expr::int(1)).recip();
+        let b = Bindings::new().with("bt_sp", 77.0);
+        assert_eq!(
+            e.interned().eval(&b).unwrap().to_bits(),
+            e.eval(&b).unwrap().to_bits()
+        );
+    }
+
+    #[test]
+    fn fractional_powers_grid_matches_tree_bitwise() {
+        let p = Expr::sym("bt_p");
+        let e = p.pow(Rat::HALF) * Expr::int(5) + (p.clone() + Expr::int(1)).recip();
+        let points = vec![
+            Bindings::new().with("bt_p", 77.0),
+            Bindings::new().with("bt_p", 0.3),
+        ];
+        assert_grid_matches_tree(&[e], &points);
+    }
+
+    #[test]
+    fn unbound_symbol_error_names_first_encountered() {
+        let e = Expr::sym("bt_u1") + Expr::sym("bt_u2");
+        let grid = BatchProgram::compile(&ids(std::slice::from_ref(&e)))
+            .eval_grid(&[Bindings::new()])
+            .unwrap();
+        assert_eq!(grid[0][0], e.eval(&Bindings::new()));
+    }
+
+    #[test]
+    fn min_max_branches_resolve_slots_in_first_encounter_order() {
+        // The canonical form is max(5, z)·min(a, z): `bt_mm_z` is first
+        // encountered inside the `max` branch, `bt_mm_a` only later inside
+        // `min`. The error order must follow encounter order, not name
+        // order, and `bt_mm_z` under both branches must be listed once — so
+        // an all-unbound eval names `bt_mm_z` first, exactly like the tree
+        // walk.
+        let z = Expr::sym("bt_mm_z");
+        let a = Expr::sym("bt_mm_a");
+        let e = Expr::max(vec![z.clone(), Expr::int(5)]) * Expr::min(vec![a.clone(), z.clone()]);
+        let prog = BatchProgram::compile(&ids(std::slice::from_ref(&e)));
+        let names: Vec<String> = prog.root_syms[0]
+            .iter()
+            .map(|&slot| prog.symbols()[slot as usize].to_string())
+            .collect();
+        assert_eq!(names, ["bt_mm_z", "bt_mm_a"]);
+        let grid = prog.eval_grid(&[Bindings::new()]).unwrap();
+        assert_eq!(grid[0][0], e.eval(&Bindings::new()));
+        assert_eq!(grid[0][0].as_ref().unwrap_err().0.to_string(), "bt_mm_z");
+        // With `bt_mm_z` bound, the next symbol in encounter order errors.
+        assert_grid_matches_tree(&[e], &[Bindings::new().with("bt_mm_z", 3.0)]);
+    }
+
+    #[test]
+    fn zero_expression_evaluates_to_zero() {
+        let prog = BatchProgram::compile(&ids(&[Expr::zero()]));
+        assert!(prog.symbols().is_empty());
+        assert_eq!(prog.len(), 2, "one splat and the result copy");
+        let grid = prog.eval_grid(&[Bindings::new()]).unwrap();
+        assert_eq!(grid[0][0].as_ref().unwrap().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn repeated_symbols_share_one_slot() {
+        let h = Expr::sym("bt_slot");
+        let e = h.pow(2) + h.clone() * Expr::int(4) + h.pow(Rat::int(3));
+        let prog = BatchProgram::compile(&ids(&[e]));
+        assert_eq!(prog.symbols().len(), 1);
+        assert_eq!(prog.root_syms[0], [0]);
+    }
+
+    #[test]
     fn counters_advance_on_compile_and_eval() {
-        let before = batch_stats();
+        // Exact deltas on this thread's own counts: tests on other threads
+        // move the process-wide sums concurrently, never these.
+        let before = thread_batch_stats();
+        let global_before = batch_stats();
         let e = Expr::sym("bt_ctr") + Expr::int(41);
         let prog = BatchProgram::compile(&ids(&[e]));
         let pts = vec![Bindings::new().with("bt_ctr", 1.0); 4];
         prog.eval_grid(&pts).unwrap();
-        let after = batch_stats();
-        assert!(after.instructions > before.instructions);
-        assert!(after.registers > before.registers);
-        assert_eq!(after.evals, before.evals + 1);
-        assert_eq!(after.points, before.points + 4);
+        let after = thread_batch_stats();
+        assert_eq!(
+            after,
+            BatchStats {
+                instructions: before.instructions + prog.len() as u64,
+                registers: before.registers + prog.registers() as u64,
+                cse_reuses: before.cse_reuses + prog.cse_reuses(),
+                evals: before.evals + 1,
+                points: before.points + 4,
+                ..before
+            }
+        );
+        // The process-wide sums include this thread's work.
+        let global_after = batch_stats();
+        assert!(global_after.evals > global_before.evals);
+        assert!(global_after.points >= global_before.points + 4);
     }
 }

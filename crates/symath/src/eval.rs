@@ -80,6 +80,19 @@ impl fmt::Display for UnboundSymbol {
 
 impl std::error::Error for UnboundSymbol {}
 
+/// Round an evaluated count (elements, bytes) to the nearest `u64` — the one
+/// rounding rule every `eval_u64` and batched element-count read shares.
+///
+/// # Panics
+/// Panics if `v` is not finite or rounds below zero.
+pub fn round_u64(v: f64) -> u64 {
+    assert!(
+        v.is_finite() && v >= -0.5,
+        "expression evaluated to non-representable u64: {v}"
+    );
+    v.round().max(0.0) as u64
+}
+
 impl Expr {
     /// Evaluate to an `f64` under `bindings`.
     ///
@@ -117,17 +130,12 @@ impl Expr {
         Ok(total)
     }
 
-    /// Evaluate and round to the nearest unsigned integer.
+    /// Evaluate and round to the nearest unsigned integer ([`round_u64`]).
     ///
     /// # Panics
     /// Panics if the value is negative or not finite.
     pub fn eval_u64(&self, bindings: &Bindings) -> Result<u64, UnboundSymbol> {
-        let v = self.eval(bindings)?;
-        assert!(
-            v.is_finite() && v >= -0.5,
-            "expression evaluated to non-representable u64: {v}"
-        );
-        Ok(v.round().max(0.0) as u64)
+        Ok(round_u64(self.eval(bindings)?))
     }
 
     /// Substitute every binding as an exact constant and return the

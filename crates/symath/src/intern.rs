@@ -18,8 +18,9 @@
 //! list), never lossy fingerprints, so a memo hit returns precisely the
 //! expression the tree algebra would have built — the proptest suite
 //! (`tests/intern_equiv.rs`) asserts interned ≡ tree on every operation.
-//! Numeric evaluation goes through a per-id compiled [`Program`] cache and is
-//! bit-identical to [`Expr::eval`] (see [`crate::compile`]).
+//! Numeric evaluation goes through the cached [`BatchProgram`] for the root
+//! list ([`batch_program`]); a single point is a one-point grid
+//! ([`ExprId::eval`], [`eval_point`]), bit-identical to [`Expr::eval`].
 //!
 //! The table is append-only and never evicts: the workspace's expression
 //! universe is bounded by the model families (a few thousand distinct
@@ -32,9 +33,8 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
-use crate::batch::{BatchProgram, BATCH_CACHE_HITS, BATCH_PROGRAMS_COMPILED};
-use crate::compile::Program;
-use crate::eval::{Bindings, UnboundSymbol};
+use crate::batch::{count, BatchProgram, Counter};
+use crate::eval::{round_u64, Bindings, UnboundSymbol};
 use crate::expr::Expr;
 use crate::rat::Rat;
 use crate::symbol::Symbol;
@@ -57,7 +57,9 @@ pub struct InternStats {
     pub memo_misses: u64,
     /// Distinct expressions in the table.
     pub table_len: u64,
-    /// Distinct expressions with a compiled evaluation program.
+    /// Compiled evaluation programs cached: the size of the one program
+    /// cache, so always equal to `batch_programs` (kept for the
+    /// `programs_compiled` metric series).
     pub programs_compiled: u64,
     /// Distinct root sets with a compiled batch program.
     pub batch_programs: u64,
@@ -94,11 +96,9 @@ struct Interner {
     exprs: RwLock<Vec<Arc<Expr>>>,
     /// expression → id (the hash-consing table).
     ids: RwLock<HashMap<Arc<Expr>, u32>>,
-    /// Lazily compiled stack program per id.
-    programs: RwLock<HashMap<u32, Arc<Program>>>,
     /// Lazily compiled batch program per root-id list (order-sensitive:
     /// the list *is* the program's output layout).
-    batch_programs: RwLock<HashMap<Vec<u32>, Arc<BatchProgram>>>,
+    batch_programs: RwLock<HashMap<Vec<ExprId>, Arc<BatchProgram>>>,
     add_memo: RwLock<HashMap<(u32, u32), u32>>,
     mul_memo: RwLock<HashMap<(u32, u32), u32>>,
     pow_memo: RwLock<HashMap<(u32, Rat), u32>>,
@@ -114,7 +114,6 @@ fn global() -> &'static Interner {
     GLOBAL.get_or_init(|| Interner {
         exprs: RwLock::new(Vec::new()),
         ids: RwLock::new(HashMap::new()),
-        programs: RwLock::new(HashMap::new()),
         batch_programs: RwLock::new(HashMap::new()),
         add_memo: RwLock::new(HashMap::new()),
         mul_memo: RwLock::new(HashMap::new()),
@@ -130,14 +129,15 @@ fn global() -> &'static Interner {
 /// Counter snapshot for benchmarks and `/v1/metrics`.
 pub fn intern_stats() -> InternStats {
     let it = global();
+    let batch_programs = it.batch_programs.read().len() as u64;
     InternStats {
         intern_hits: it.intern_hits.load(Ordering::Relaxed),
         intern_misses: it.intern_misses.load(Ordering::Relaxed),
         memo_hits: it.memo_hits.load(Ordering::Relaxed),
         memo_misses: it.memo_misses.load(Ordering::Relaxed),
         table_len: it.exprs.read().len() as u64,
-        programs_compiled: it.programs.read().len() as u64,
-        batch_programs: it.batch_programs.read().len() as u64,
+        programs_compiled: batch_programs,
+        batch_programs,
         memo_entries: (it.add_memo.read().len()
             + it.mul_memo.read().len()
             + it.pow_memo.read().len()
@@ -253,34 +253,19 @@ impl ExprId {
         })
     }
 
-    /// The compiled program for this expression (compiled once, then cached).
-    pub fn program(self) -> Arc<Program> {
-        let it = global();
-        if let Some(p) = it.programs.read().get(&self.0) {
-            return Arc::clone(p);
-        }
-        let prog = Arc::new(Program::compile(&self.expr()));
-        Arc::clone(it.programs.write().entry(self.0).or_insert(prog))
-    }
-
-    /// Evaluate via the compiled program. Bit-identical to
-    /// [`Expr::eval`] on the interned expression.
+    /// Evaluate at one point ([`eval_point`] of this one root).
+    /// Bit-identical to [`Expr::eval`] on the interned expression.
     pub fn eval(self, bindings: &Bindings) -> Result<f64, UnboundSymbol> {
-        self.program().eval(bindings)
+        Ok(eval_point(&[self], bindings)?[0])
     }
 
-    /// Evaluate and round to the nearest unsigned integer, with the same
-    /// contract as [`Expr::eval_u64`].
+    /// Evaluate and round to the nearest unsigned integer ([`round_u64`]),
+    /// with the same contract as [`Expr::eval_u64`].
     ///
     /// # Panics
     /// Panics if the value is negative or not finite.
     pub fn eval_u64(self, bindings: &Bindings) -> Result<u64, UnboundSymbol> {
-        let v = self.eval(bindings)?;
-        assert!(
-            v.is_finite() && v >= -0.5,
-            "expression evaluated to non-representable u64: {v}"
-        );
-        Ok(v.round().max(0.0) as u64)
+        Ok(round_u64(self.eval(bindings)?))
     }
 }
 
@@ -290,9 +275,8 @@ impl ExprId {
 /// table compiles once and replays for every grid.
 pub fn batch_program(roots: &[ExprId]) -> Arc<BatchProgram> {
     let it = global();
-    let key: Vec<u32> = roots.iter().map(|r| r.0).collect();
-    if let Some(p) = it.batch_programs.read().get(&key) {
-        BATCH_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+    if let Some(p) = it.batch_programs.read().get(roots) {
+        count(Counter::CacheHits, 1);
         return Arc::clone(p);
     }
     // Compile outside the lock (same discipline as `memo_op`): concurrent
@@ -300,12 +284,24 @@ pub fn batch_program(roots: &[ExprId]) -> Arc<BatchProgram> {
     // first insert wins.
     let prog = Arc::new(BatchProgram::compile(roots));
     let mut cache = it.batch_programs.write();
-    if let Some(p) = cache.get(&key) {
-        BATCH_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+    if let Some(p) = cache.get(roots) {
+        count(Counter::CacheHits, 1);
         return Arc::clone(p);
     }
-    BATCH_PROGRAMS_COMPILED.fetch_add(1, Ordering::Relaxed);
-    Arc::clone(cache.entry(key).or_insert(prog))
+    count(Counter::ProgramsCompiled, 1);
+    Arc::clone(cache.entry(roots.to_vec()).or_insert(prog))
+}
+
+/// Evaluate `roots` at one point: a one-point grid of their cached
+/// [`batch_program`]. Fails with the first root's error in root order, each
+/// naming the first unbound symbol the tree walk would meet.
+pub fn eval_point(roots: &[ExprId], bindings: &Bindings) -> Result<Vec<f64>, UnboundSymbol> {
+    batch_program(roots)
+        .eval_grid(std::slice::from_ref(bindings))
+        .expect("a one-point grid is non-empty")
+        .into_iter()
+        .map(|mut col| col.swap_remove(0))
+        .collect()
 }
 
 /// Memo-cache lookup with the compute step outside any lock: concurrent
@@ -427,7 +423,9 @@ mod tests {
         // A different order is a different output layout → distinct program.
         let p3 = batch_program(&[b, a]);
         assert!(!Arc::ptr_eq(&p1, &p3));
-        assert!(intern_stats().batch_programs >= 2);
+        let stats = intern_stats();
+        assert!(stats.batch_programs >= 2);
+        assert_eq!(stats.programs_compiled, stats.batch_programs);
     }
 
     #[test]

@@ -13,12 +13,16 @@
 //! * [`Symbol`] — interned names; all symbols denote **positive** reals
 //!   (tensor dimensions), which licenses exponent distribution.
 //! * [`Bindings`] — symbol → value maps for numeric [`Expr::eval`].
-//! * [`ExprId`] — hash-consed expression handles: O(1) equality/hash/clone,
-//!   memoized `add`/`mul`/`pow`/`bind_all`, and compiled ([`Program`])
-//!   evaluation that is bit-identical to the tree walk.
+//! * [`ExprId`] — hash-consed expression handles: O(1) equality/hash/clone
+//!   and memoized `add`/`mul`/`pow`/`bind_all`.
 //! * [`BatchProgram`] — a set of roots compiled once into a register VM
-//!   that evaluates whole grids structure-of-arrays (see [`batch_program`]),
-//!   again bit-identical per point.
+//!   that evaluates whole grids structure-of-arrays (see [`batch_program`]).
+//!   It is the one compiled evaluator: [`ExprId::eval`] and [`eval_point`]
+//!   are one-point grids of it.
+//!
+//! The tree walk ([`Expr::eval`]) is the only oracle. Every compiled result
+//! is bit-identical to it, including NaN payloads and which unbound symbol
+//! an error names.
 //!
 //! # Example
 //!
@@ -38,7 +42,6 @@
 #![warn(rust_2018_idioms)]
 
 mod batch;
-mod compile;
 mod display;
 mod eval;
 mod expr;
@@ -46,10 +49,11 @@ mod intern;
 mod rat;
 mod symbol;
 
-pub use batch::{batch_stats, BatchError, BatchInstr, BatchProgram, BatchStats};
-pub use compile::{Instr, Program};
-pub use eval::{Bindings, UnboundSymbol};
+pub use batch::{
+    batch_stats, thread_batch_stats, BatchError, BatchInstr, BatchProgram, BatchStats,
+};
+pub use eval::{round_u64, Bindings, UnboundSymbol};
 pub use expr::{Atom, Expr, Func};
-pub use intern::{batch_program, intern_stats, ExprId, InternStats};
+pub use intern::{batch_program, eval_point, intern_stats, ExprId, InternStats};
 pub use rat::Rat;
 pub use symbol::Symbol;

@@ -1,18 +1,18 @@
-//! Differential harness for the three evaluators: the tree walk
-//! ([`Expr::eval`]), the per-point stack VM ([`Program::eval`]), and the
-//! batched register VM ([`batch_program`] + `eval_grid`).
+//! Differential harness for the three evaluation paths: the tree walk
+//! ([`Expr::eval`], the oracle), per-point evaluation ([`ExprId::eval`], a
+//! one-point grid of the batch VM), and whole-grid evaluation
+//! ([`batch_program`] + `eval_grid`).
 //!
 //! Every test generates random expression sets and random grids and asserts
 //! **bitwise** agreement via `f64::to_bits` — not approximate closeness —
 //! including NaN payloads (negative bases under fractional powers produce
-//! NaNs, and all three evaluators must produce the *same* NaN) and the
-//! error path (a partially-unbound point must name the same first-unbound
-//! symbol from every evaluator, without contaminating bound points in the
-//! same grid).
+//! NaNs, and all three paths must produce the *same* NaN) and the error
+//! path (a partially-unbound point must name the same first-unbound symbol
+//! from every path, without contaminating bound points in the same grid).
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use symath::{batch_program, Bindings, Expr, ExprId, Program, Rat, UnboundSymbol};
+use symath::{batch_program, Bindings, Expr, ExprId, Rat, UnboundSymbol};
 
 const SYMS: [&str; 4] = ["bq_a", "bq_b", "bq_c", "bq_d"];
 
@@ -56,7 +56,7 @@ fn arb_roots() -> impl Strategy<Value = Vec<Expr>> {
 
 /// One grid point binding every symbol. Negative values feed fractional
 /// powers and produce NaNs — deliberately: NaN bit patterns must survive
-/// all three evaluators identically.
+/// all three paths identically.
 fn arb_full_point() -> impl Strategy<Value = Vec<f64>> {
     pvec(prop_oneof![-8.0f64..8.0, 0.25f64..64.0], SYMS.len())
 }
@@ -94,8 +94,8 @@ fn same_outcome(a: &Result<f64, UnboundSymbol>, b: &Result<f64, UnboundSymbol>) 
     }
 }
 
-/// Evaluate `roots` over `points` through all three evaluators and assert
-/// triple agreement per (root, point).
+/// Evaluate `roots` over `points` through all three paths and assert triple
+/// agreement per (root, point).
 fn assert_triple_agreement(roots: &[Expr], points: &[Bindings]) {
     let ids: Vec<ExprId> = roots.iter().map(|e| e.interned()).collect();
     let batched = batch_program(&ids)
@@ -103,14 +103,13 @@ fn assert_triple_agreement(roots: &[Expr], points: &[Bindings]) {
         .expect("non-empty grid");
     prop_assert_eq!(batched.len(), roots.len());
     for (r, root) in roots.iter().enumerate() {
-        let stack = Program::compile(root);
         prop_assert_eq!(batched[r].len(), points.len());
         for (p, b) in points.iter().enumerate() {
             let tree = root.eval(b);
-            let compiled = stack.eval(b);
+            let per_point = ids[r].eval(b);
             prop_assert!(
-                same_outcome(&tree, &compiled),
-                "root {r} point {p}: tree {tree:?} vs stack {compiled:?} for {root}"
+                same_outcome(&tree, &per_point),
+                "root {r} point {p}: tree {tree:?} vs per-point {per_point:?} for {root}"
             );
             prop_assert!(
                 same_outcome(&tree, &batched[r][p]),
@@ -123,7 +122,7 @@ fn assert_triple_agreement(roots: &[Expr], points: &[Bindings]) {
 
 proptest! {
     /// Fully-bound grids: every (root, point) value is bit-identical across
-    /// the tree walk, the stack VM, and the batched VM — including NaNs
+    /// the tree walk, per-point evaluation, and the grid — including NaNs
     /// from negative bases under sqrt.
     #[test]
     fn bound_grids_agree_bitwise(roots in arb_roots(), grid in pvec(arb_full_point(), 1..=6)) {
@@ -141,7 +140,7 @@ proptest! {
     }
 
     /// Partially-unbound grids: unbound points error with the same
-    /// first-encountered symbol from every evaluator, and bound points in
+    /// first-encountered symbol from every path, and bound points in
     /// the same grid still evaluate bit-identically (no contamination from
     /// the masked placeholder columns).
     #[test]
