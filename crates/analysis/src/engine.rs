@@ -83,7 +83,7 @@ struct Instance {
 /// [`characterize`](FamilyEngine::characterize) from rayon workers.
 pub struct FamilyEngine {
     families: Mutex<HashMap<String, Arc<Family>>>,
-    instances: Mutex<LruCache<Arc<Instance>>>,
+    instances: Mutex<LruCache<String, Arc<Instance>>>,
 }
 
 impl Default for FamilyEngine {

@@ -196,7 +196,7 @@ struct InferInstance {
 /// The symbolic inference sweep engine (see the module docs).
 pub struct InferEngine {
     families: Mutex<HashMap<String, Arc<InferFamily>>>,
-    instances: Mutex<LruCache<Arc<InferInstance>>>,
+    instances: Mutex<LruCache<String, Arc<InferInstance>>>,
 }
 
 impl Default for InferEngine {

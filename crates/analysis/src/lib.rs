@@ -25,7 +25,7 @@ mod engine;
 mod frontier;
 mod infer;
 mod inferplan;
-mod lru;
+pub mod lru;
 mod plansearch;
 mod sensitivity;
 mod subbatch;

@@ -1,16 +1,18 @@
-//! Sharded, content-addressed memoization cache with single-flight compute.
+//! Sharded, content-addressed memoization cache with single-flight compute,
+//! and the response-bytes cache layered above it.
 //!
 //! Keys are [`frontier::QueryKey`] 128-bit content hashes; values are the
 //! rendered JSON response bodies (`Arc<String>`, so a hit is a hash lookup
-//! plus a refcount bump). Each shard is an independently locked LRU map, so
-//! concurrent queries for different keys contend only 1/N of the time.
+//! plus a refcount bump). Each shard is an independently locked
+//! [`LruCache`], so concurrent queries for different keys contend only 1/N
+//! of the time.
 //!
-//! **Single-flight:** the first request for a key installs a `Pending` slot
-//! and computes outside the lock; concurrent requests for the same key block
-//! on the flight's condvar and receive the same `Arc` — an expensive
-//! characterization is computed exactly once no matter how many clients ask
-//! simultaneously. A panicking compute poisons nobody: the pending slot is
-//! removed, waiters get the error, and later requests recompute.
+//! **Single-flight:** the first request for a key registers a flight beside
+//! its shard's LRU and computes outside the lock; concurrent requests for
+//! the same key block on the flight's condvar and receive the same `Arc` —
+//! an expensive characterization is computed exactly once no matter how
+//! many clients ask simultaneously. A panicking compute poisons nobody: the
+//! flight is removed, waiters get the error, and later requests recompute.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,6 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use analysis::lru::LruCache;
+
+use crate::http;
 use crate::trace::elapsed_us;
 
 /// How a lookup was satisfied.
@@ -45,23 +50,26 @@ pub struct LookupTiming {
 
 type ComputeResult = Result<Arc<String>, String>;
 
+#[derive(Default)]
 struct Flight {
     done: Mutex<Option<ComputeResult>>,
     cv: Condvar,
 }
 
-enum Slot {
-    Ready(Arc<String>),
-    Pending(Arc<Flight>),
-}
-
-struct Entry {
-    slot: Slot,
-    last_used: u64,
-}
-
+/// One memo shard: resident bodies in the LRU, computes in progress beside
+/// it (a flight is never evicted, and never counts toward capacity).
 struct Shard {
-    map: HashMap<u128, Entry>,
+    ready: LruCache<u128, Arc<String>>,
+    flights: HashMap<u128, Arc<Flight>>,
+}
+
+/// `count` (clamped to 1..=64) independently locked shards, each built by
+/// `shard` with its share of `capacity`.
+fn sharded<S>(capacity: usize, count: usize, shard: impl Fn(usize) -> S) -> Vec<Mutex<S>> {
+    let count = count.clamp(1, 64);
+    (0..count)
+        .map(|_| Mutex::new(shard(capacity.div_ceil(count))))
+        .collect()
 }
 
 /// Cache hit/miss/eviction counters (all monotonic).
@@ -82,8 +90,6 @@ pub struct CacheStats {
 /// The memoization cache.
 pub struct MemoCache {
     shards: Vec<Mutex<Shard>>,
-    per_shard_capacity: usize,
-    tick: AtomicU64,
     /// Counters, exposed for `/v1/metrics`.
     pub stats: CacheStats,
 }
@@ -92,18 +98,11 @@ impl MemoCache {
     /// A cache bounded to roughly `capacity` resident values, spread over
     /// `shards` independently locked shards.
     pub fn new(capacity: usize, shards: usize) -> MemoCache {
-        let shards = shards.clamp(1, 64);
-        let per_shard_capacity = capacity.div_ceil(shards).max(1);
         MemoCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                    })
-                })
-                .collect(),
-            per_shard_capacity,
-            tick: AtomicU64::new(0),
+            shards: sharded(capacity, shards, |per_shard| Shard {
+                ready: LruCache::new(per_shard),
+                flights: HashMap::new(),
+            }),
             stats: CacheStats::default(),
         }
     }
@@ -112,14 +111,7 @@ impl MemoCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("cache shard lock")
-                    .map
-                    .values()
-                    .filter(|e| matches!(e.slot, Slot::Ready(_)))
-                    .count()
-            })
+            .map(|s| s.lock().expect("cache shard lock").ready.len())
             .sum()
     }
 
@@ -130,20 +122,16 @@ impl MemoCache {
 
     /// Nominal capacity (values).
     pub fn capacity(&self) -> usize {
-        self.per_shard_capacity * self.shards.len()
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("cache shard lock").ready.capacity())
+            .sum()
     }
 
     fn shard_for(&self, key: u128) -> &Mutex<Shard> {
         // High bits select the shard; the map hashes the full key.
         let idx = ((key >> 96) as usize) % self.shards.len();
         &self.shards[idx]
-    }
-
-    fn touch(&self) -> u64 {
-        // Relaxed: a single-atomic RMW is already totally ordered with other
-        // RMWs on the same atomic, which is all LRU recency needs; ties
-        // across shards carry no meaning.
-        self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Look up `key`, computing the value with `compute` on a miss. Returns
@@ -167,64 +155,35 @@ impl MemoCache {
         compute: impl FnOnce() -> Result<String, String>,
     ) -> (ComputeResult, Outcome, LookupTiming) {
         let probe_start = Instant::now();
-        let flight: Arc<Flight>;
-        {
-            let mut shard = self.shard_for(key).lock().expect("cache shard lock");
-            match shard.map.get_mut(&key) {
-                Some(entry) => {
-                    entry.last_used = self.touch();
-                    match &entry.slot {
-                        Slot::Ready(value) => {
-                            let value = Arc::clone(value);
-                            // Relaxed: standalone monotone tally. Exact
-                            // cross-thread visibility in tests is given by
-                            // the response write happening before the test's
-                            // next request (TCP read → happens-before).
-                            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                            return (
-                                Ok(value),
-                                Outcome::Hit,
-                                LookupTiming {
-                                    lookup_us: elapsed_us(probe_start),
-                                    ..LookupTiming::default()
-                                },
-                            );
-                        }
-                        Slot::Pending(f) => {
-                            flight = Arc::clone(f);
-                            // fall through to wait outside the shard lock
-                        }
-                    }
-                }
-                None => {
-                    let f = Arc::new(Flight {
-                        done: Mutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    shard.map.insert(
-                        key,
-                        Entry {
-                            slot: Slot::Pending(Arc::clone(&f)),
-                            last_used: self.touch(),
-                        },
-                    );
-                    drop(shard);
-                    let lookup_us = elapsed_us(probe_start);
-                    let compute_start = Instant::now();
-                    let result = self.run_flight(key, f, compute);
-                    return (
-                        result,
-                        Outcome::Miss,
-                        LookupTiming {
-                            lookup_us,
-                            wait_us: 0,
-                            compute_us: elapsed_us(compute_start),
-                        },
-                    );
-                }
-            }
+        let mut shard = self.shard_for(key).lock().expect("cache shard lock");
+        if let Some(value) = shard.ready.get(&key) {
+            drop(shard);
+            // Relaxed: standalone monotone tally. Exact cross-thread
+            // visibility in tests is given by the response write happening
+            // before the test's next request (TCP read → happens-before).
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            let timing = LookupTiming {
+                lookup_us: elapsed_us(probe_start),
+                ..LookupTiming::default()
+            };
+            return (Ok(value), Outcome::Hit, timing);
         }
-        // Wait for the in-flight compute.
+        let Some(flight) = shard.flights.get(&key).map(Arc::clone) else {
+            let flight = Arc::new(Flight::default());
+            shard.flights.insert(key, Arc::clone(&flight));
+            drop(shard);
+            let lookup_us = elapsed_us(probe_start);
+            let compute_start = Instant::now();
+            let result = self.run_flight(key, &flight, compute);
+            let timing = LookupTiming {
+                lookup_us,
+                wait_us: 0,
+                compute_us: elapsed_us(compute_start),
+            };
+            return (result, Outcome::Miss, timing);
+        };
+        drop(shard);
+        // Wait for the in-flight compute outside the shard lock.
         let lookup_us = elapsed_us(probe_start);
         // Relaxed: standalone monotone tally (see `hits` above).
         self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -247,7 +206,7 @@ impl MemoCache {
     fn run_flight(
         &self,
         key: u128,
-        flight: Arc<Flight>,
+        flight: &Flight,
         compute: impl FnOnce() -> Result<String, String>,
     ) -> ComputeResult {
         // Relaxed: standalone monotone tally; the value itself is published
@@ -270,52 +229,24 @@ impl MemoCache {
             self.stats.failures.fetch_add(1, Ordering::Relaxed);
         }
         {
+            // A failed compute only drops its flight, so a later request
+            // retries.
             let mut shard = self.shard_for(key).lock().expect("cache shard lock");
-            match &result {
-                Ok(value) => {
-                    if let Some(entry) = shard.map.get_mut(&key) {
-                        entry.slot = Slot::Ready(Arc::clone(value));
-                        entry.last_used = self.touch();
-                    }
-                    self.evict_if_needed(&mut shard);
-                }
-                Err(_) => {
-                    // Drop the pending slot so a later request retries.
-                    shard.map.remove(&key);
-                }
+            shard.flights.remove(&key);
+            if let Ok(value) = &result {
+                let before = shard.ready.evictions();
+                shard.ready.insert(key, Arc::clone(value));
+                // Relaxed: standalone monotone tally; the eviction itself is
+                // ordered by the shard mutex held here.
+                self.stats
+                    .evictions
+                    .fetch_add(shard.ready.evictions() - before, Ordering::Relaxed);
             }
         }
         // Wake everyone coalesced on this flight.
         *flight.done.lock().expect("flight lock") = Some(result.clone());
         flight.cv.notify_all();
         result
-    }
-
-    /// Evict least-recently-used *ready* entries until the shard is at
-    /// capacity. Pending flights are never evicted.
-    fn evict_if_needed(&self, shard: &mut Shard) {
-        loop {
-            let ready = shard
-                .map
-                .values()
-                .filter(|e| matches!(e.slot, Slot::Ready(_)))
-                .count();
-            if ready <= self.per_shard_capacity {
-                return;
-            }
-            let Some((&victim, _)) = shard
-                .map
-                .iter()
-                .filter(|(_, e)| matches!(e.slot, Slot::Ready(_)))
-                .min_by_key(|(_, e)| e.last_used)
-            else {
-                return;
-            };
-            shard.map.remove(&victim);
-            // Relaxed: standalone monotone tally; the removal itself is
-            // ordered by the shard mutex held here.
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Hit rate over all lookups so far (0 when none).
@@ -335,10 +266,10 @@ impl MemoCache {
 
 // ------------------------------------------------------------- bytes cache
 
-/// A fully pre-serialized response: the JSON body shared with the
-/// [`MemoCache`]'s value plus two pre-rendered heads (`x-cache: hit`, one
-/// per connection disposition). A warm hit is a single `writev` of
-/// `[head, body]` — zero re-encode, zero copy of the body bytes.
+/// A fully pre-serialized response: the [`MemoCache`]'s own body `Arc` (the
+/// body is stored once, not copied per layer) plus two pre-rendered heads
+/// (`x-cache: hit`, one per connection disposition). A warm hit is a single
+/// `writev` of `[head, body]` — zero re-encode, zero copy of the body bytes.
 pub struct CachedBytes {
     /// HTTP status the cached exchange produced (always 200 today; only
     /// successful cacheable responses are admitted).
@@ -353,51 +284,55 @@ pub struct CachedBytes {
     pub head_close: Vec<u8>,
 }
 
-struct BytesEntry {
-    value: Arc<CachedBytes>,
-    last_used: u64,
+impl CachedBytes {
+    /// `body` with both `x-cache: hit` heads rendered for it.
+    pub fn hit(
+        status: u16,
+        endpoint: &'static str,
+        content_type: &str,
+        body: Arc<String>,
+    ) -> CachedBytes {
+        let head = |keep_alive| {
+            http::render_head(status, body.len(), Some("hit"), content_type, keep_alive)
+                .into_bytes()
+        };
+        CachedBytes {
+            status,
+            endpoint,
+            head_keep_alive: head(true),
+            head_close: head(false),
+            body,
+        }
+    }
 }
 
-struct BytesShard {
-    map: HashMap<String, BytesEntry>,
-}
-
-/// Response-bytes cache layered **above** the [`MemoCache`].
+/// Response-bytes cache layered **above** the [`MemoCache`], sharded the
+/// same way over the same [`LruCache`] and sized by the same
+/// `--cache-entries`.
 ///
 /// Keys are the raw request target (`/path?query`), values are
-/// [`CachedBytes`]. Both layers memoize pure functions of the query, so
-/// there is nothing to invalidate — the layers can evict independently
-/// without any staleness risk; the only coupling is capacity (see DESIGN.md
-/// § "Event-driven serve tier"). Entries are inserted by worker threads
-/// after a cold compute and probed by the reactor thread before dispatch;
+/// [`CachedBytes`] holding the memo's body `Arc`. Both layers memoize pure
+/// functions of the query, so there is nothing to invalidate — the layers
+/// can evict independently without any staleness risk (see DESIGN.md
+/// § "Response-bytes cache"). Entries are inserted by worker threads after
+/// a cold compute and probed by the reactor thread before dispatch;
 /// hit/miss tallies live in
 /// [`ReactorStats`](crate::metrics::ReactorStats), not here, because the
 /// probe site (the reactor) owns the counters.
 pub struct BytesCache {
-    shards: Vec<Mutex<BytesShard>>,
-    per_shard_capacity: usize,
-    tick: AtomicU64,
+    shards: Vec<Mutex<LruCache<String, Arc<CachedBytes>>>>,
 }
 
 impl BytesCache {
     /// A cache bounded to roughly `capacity` resident responses, spread over
     /// `shards` independently locked shards.
     pub fn new(capacity: usize, shards: usize) -> BytesCache {
-        let shards = shards.clamp(1, 64);
         BytesCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(BytesShard {
-                        map: HashMap::new(),
-                    })
-                })
-                .collect(),
-            per_shard_capacity: capacity.div_ceil(shards).max(1),
-            tick: AtomicU64::new(0),
+            shards: sharded(capacity, shards, LruCache::new),
         }
     }
 
-    fn shard_for(&self, target: &str) -> &Mutex<BytesShard> {
+    fn shard_for(&self, target: &str) -> &Mutex<LruCache<String, Arc<CachedBytes>>> {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         target.hash(&mut h);
@@ -408,7 +343,7 @@ impl BytesCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("bytes shard lock").map.len())
+            .map(|s| s.lock().expect("bytes shard lock").len())
             .sum()
     }
 
@@ -419,38 +354,20 @@ impl BytesCache {
 
     /// Probe for `target`, refreshing its recency on a hit.
     pub fn get(&self, target: &str) -> Option<Arc<CachedBytes>> {
-        // Relaxed: LRU recency only needs RMW total order (see MemoCache).
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_for(target).lock().expect("bytes shard lock");
-        let entry = shard.map.get_mut(target)?;
-        entry.last_used = tick;
-        Some(Arc::clone(&entry.value))
+        self.shard_for(target)
+            .lock()
+            .expect("bytes shard lock")
+            .get(target)
     }
 
-    /// Insert (or refresh) the pre-rendered response for `target`, evicting
-    /// the least-recently-used entry if the shard is over capacity.
+    /// Admit the pre-rendered response for `target` (a resident entry for
+    /// the same target is kept — both are renders of one pure function),
+    /// evicting the least-recently-used entry if the shard is over capacity.
     pub fn insert(&self, target: String, value: CachedBytes) {
-        // Relaxed: see `get`.
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_for(&target).lock().expect("bytes shard lock");
-        shard.map.insert(
-            target,
-            BytesEntry {
-                value: Arc::new(value),
-                last_used: tick,
-            },
-        );
-        while shard.map.len() > self.per_shard_capacity {
-            let Some(victim) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            shard.map.remove(&victim);
-        }
+        self.shard_for(&target)
+            .lock()
+            .expect("bytes shard lock")
+            .insert(target, Arc::new(value));
     }
 }
 
@@ -532,29 +449,70 @@ mod tests {
         assert_eq!(r2.expect("ok").as_str(), "fine");
     }
 
-    fn cached_bytes(endpoint: &'static str, body: &str) -> CachedBytes {
-        let body = Arc::new(body.to_string());
-        CachedBytes {
-            status: 200,
-            endpoint,
-            head_keep_alive: crate::http::render_head(
-                200,
-                body.len(),
-                Some("hit"),
-                "application/json",
-                true,
-            )
-            .into_bytes(),
-            head_close: crate::http::render_head(
-                200,
-                body.len(),
-                Some("hit"),
-                "application/json",
-                false,
-            )
-            .into_bytes(),
-            body,
+    #[test]
+    fn single_flight_survives_a_full_shard() {
+        let cache = Arc::new(MemoCache::new(1, 1));
+        let computes = Arc::new(AtomicUsize::new(0));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let owner = {
+            let (cache, computes) = (Arc::clone(&cache), Arc::clone(&computes));
+            std::thread::spawn(move || {
+                cache.get_or_compute(0xA, || {
+                    computes.fetch_add(1, Ordering::SeqCst);
+                    started_tx.send(()).expect("signal start");
+                    release_rx.recv().expect("release");
+                    Ok("a".into())
+                })
+            })
+        };
+        started_rx.recv().expect("A in flight");
+        let waiter = {
+            let (cache, computes) = (Arc::clone(&cache), Arc::clone(&computes));
+            std::thread::spawn(move || {
+                cache.get_or_compute(0xA, || {
+                    computes.fetch_add(1, Ordering::SeqCst);
+                    Ok("recomputed".into())
+                })
+            })
+        };
+        while cache.stats.coalesced.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
         }
+        // Fill and churn the one-entry shard while A is still in flight.
+        for key in [0xB, 0xC, 0xD] {
+            let (v, outcome) = cache.get_or_compute(key, || Ok(format!("{key:x}")));
+            assert_eq!(
+                (v.expect("ok").as_str(), outcome),
+                (&*format!("{key:x}"), Outcome::Miss)
+            );
+        }
+        assert_eq!(cache.len(), 1);
+        release_tx.send(()).expect("release A");
+        let (owned, o1) = owner.join().expect("owner");
+        let (waited, o2) = waiter.join().expect("waiter");
+        assert_eq!((o1, o2), (Outcome::Miss, Outcome::Coalesced));
+        assert_eq!(waited.expect("ok").as_str(), "a");
+        assert!(owned.is_ok());
+        assert_eq!(computes.load(Ordering::SeqCst), 1, "A computed once");
+        // A is resident; inserting B, C, D then A into one slot evicted 3.
+        let (resident, outcome) = cache.get_or_compute(0xA, || Err("evicted".into()));
+        assert_eq!(
+            (resident.expect("ok").as_str(), outcome),
+            ("a", Outcome::Hit)
+        );
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats.evictions.load(Ordering::SeqCst), 3);
+        assert_eq!(cache.stats.misses.load(Ordering::SeqCst), 4);
+    }
+
+    fn cached_bytes(endpoint: &'static str, body: &str) -> CachedBytes {
+        CachedBytes::hit(
+            200,
+            endpoint,
+            "application/json",
+            Arc::new(body.to_string()),
+        )
     }
 
     #[test]

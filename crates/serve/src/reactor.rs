@@ -1080,34 +1080,18 @@ impl ColdJob {
         guard.status = routed.status;
         guard.cache_state = routed.cache_state;
         let close = !self.keep_alive || routed.status >= 400;
-        if self.cacheable && routed.status == 200 && routed.cache_state.is_some() {
-            // Admit to the bytes cache: share the body, pre-render both
-            // head dispositions with `x-cache: hit` so a warm hit is a
+        if let Some(body) = routed.memo_body.as_ref().filter(|_| self.cacheable) {
+            // Admit to the bytes cache: share the memo's body, pre-render
+            // both head dispositions with `x-cache: hit` so a warm hit is a
             // single writev with zero re-encode.
-            let body = Arc::new(routed.body.clone());
             state.bytes.insert(
                 self.target.clone(),
-                CachedBytes {
-                    status: routed.status,
-                    endpoint: routed.endpoint,
-                    head_keep_alive: http::render_head(
-                        routed.status,
-                        body.len(),
-                        Some("hit"),
-                        routed.content_type,
-                        true,
-                    )
-                    .into_bytes(),
-                    head_close: http::render_head(
-                        routed.status,
-                        body.len(),
-                        Some("hit"),
-                        routed.content_type,
-                        false,
-                    )
-                    .into_bytes(),
-                    body,
-                },
+                CachedBytes::hit(
+                    routed.status,
+                    routed.endpoint,
+                    routed.content_type,
+                    Arc::clone(body),
+                ),
             );
         }
         let bytes = http::render_response(

@@ -5,6 +5,7 @@
 //! [`frontier::QueryKey`], so a repeat query is a hash lookup returning the
 //! byte-identical body. `healthz` and `metrics` are always live.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use analysis::{
@@ -72,6 +73,9 @@ pub struct Routed {
     pub endpoint: &'static str,
     /// Media type (`application/json` except the text exposition).
     pub content_type: &'static str,
+    /// The memo cache's own copy of `body` (memoized endpoints only), so
+    /// the bytes cache can share it instead of storing a second copy.
+    pub memo_body: Option<Arc<String>>,
 }
 
 impl Routed {
@@ -82,6 +86,7 @@ impl Routed {
             cache_state: None,
             endpoint,
             content_type: "application/json",
+            memo_body: None,
         }
     }
 
@@ -92,6 +97,7 @@ impl Routed {
             cache_state: None,
             endpoint,
             content_type: "application/json",
+            memo_body: None,
         }
     }
 }
@@ -177,6 +183,7 @@ fn augment_with_timings(routed: &mut Routed, trace: &mut RequestTrace) {
         .set("total_us", trace.elapsed_us());
     let render_start = Instant::now();
     routed.body = doc.set("debug", debug).render();
+    routed.memo_body = None;
     trace.add(Stage::Serialize, elapsed_us(render_start));
 }
 
@@ -211,11 +218,9 @@ fn memoized(
     };
     match result {
         Ok(body) => Ok(Routed {
-            status: 200,
-            body: body.as_str().to_string(),
             cache_state: Some(cache_state),
-            endpoint,
-            content_type: "application/json",
+            memo_body: Some(Arc::clone(&body)),
+            ..Routed::ok(body.as_str().to_string(), endpoint)
         }),
         Err(message) => Err(ApiError {
             status: 500,
@@ -1212,11 +1217,8 @@ fn metrics_text_route(
     let body = state.registry.render_prometheus();
     trace.add(Stage::Serialize, elapsed_us(serialize_start));
     Ok(Routed {
-        status: 200,
-        body,
-        cache_state: None,
-        endpoint: "metrics_text",
         content_type: PROMETHEUS_CONTENT_TYPE,
+        ..Routed::ok(body, "metrics_text")
     })
 }
 

@@ -8,9 +8,14 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
+use frontier::QueryKey;
+use modelzoo::{Domain, ModelConfig, BATCH_SYM};
+use serve::cache::Outcome;
 use serve::{ServeConfig, Server};
+use symath::Bindings;
 
 /// Every memoized (bytes-cacheable) endpoint, with representative queries.
 const CACHEABLE: &[&str] = &[
@@ -165,4 +170,29 @@ fn debug_requests_bypass_the_bytes_cache() {
         0,
         "debug responses are never admitted to the bytes cache"
     );
+}
+
+#[test]
+fn bytes_entry_shares_the_memo_body() {
+    let server = test_server();
+    let path = "/v1/characterize?domain=wordlm&subbatch=16";
+    let (status, _, body) = exchange(server.local_addr(), "GET", path);
+    assert_eq!(status, 200, "{body}");
+    let state = server.state();
+    // The route's own memo key for this query.
+    let key = QueryKey::new("characterize")
+        .config(&ModelConfig::default_for(Domain::WordLm))
+        .bindings(&Bindings::new().with(BATCH_SYM, 16.0))
+        .hash128();
+    let (memo, outcome) = state
+        .cache
+        .get_or_compute(key, || Err("the cold request memoized this key".into()));
+    assert_eq!(outcome, Outcome::Hit);
+    let memo = memo.expect("memoized body");
+    let entry = state.bytes.get(path).expect("cold response admitted");
+    assert!(
+        Arc::ptr_eq(&memo, &entry.body),
+        "the bytes entry must hold the memo's body, not a copy"
+    );
+    assert_eq!(entry.body.as_str(), body);
 }
